@@ -53,8 +53,11 @@
 // blocked Bloom filter in front of an open-addressing count table so
 // singleton (erroneous) k-mers never enter it, extraction and the alignment
 // wrapper reuse per-worker scratch, and the SpGEMM kernels accumulate
-// through a generation-tagged sparse accumulator with a radix-style
-// canonicalization in spmat.NewCOO. cmd/benchguard gates allocs_per_op
+// through a generation-tagged sparse accumulator, one fused
+// multiply-accumulate slot step per product (the seed semiring builds its
+// seed in the slot and rejects a seed not below the slot's second with one
+// compare), with a radix-style canonicalization in spmat.NewCOO.
+// cmd/benchguard gates allocs_per_op
 // alongside the work and traffic counters, and cmd/experiments -exp mem
 // prints the before/after allocation table against the retained
 // map-based reference kernels.

@@ -155,6 +155,16 @@ func (e *Endpoint) Send(dst int, m transport.Message) error {
 		return fmt.Errorf("tcp: no connection to rank %d", dst)
 	}
 	if err := pc.writeFrame(frameMsg, m.Tag, m.Payload); err != nil {
+		// Unless this endpoint is tearing itself down, a connection that
+		// breaks under a write means dst died. The write can lose the race
+		// against the reader that would report the death, so attribute it
+		// here too: otherwise the sender's abort blames itself.
+		e.mu.Lock()
+		closing := e.closing
+		e.mu.Unlock()
+		if !closing {
+			err = &transport.RankFailure{Rank: dst, Err: err}
+		}
 		return fmt.Errorf("tcp: send to rank %d: %w", dst, err)
 	}
 	return nil

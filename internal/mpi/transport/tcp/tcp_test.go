@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -112,6 +113,28 @@ func TestAbortReachesPeerFailureHandlers(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			t.Fatal("peer failure handler never fired after abort")
 		}
+	}
+}
+
+// TestSendToDeadPeerNamesIt: a write that fails because the peer is gone
+// reports a RankFailure naming the peer, so the sender's abort does not
+// blame itself; a write that fails because this endpoint aborted does not.
+func TestSendToDeadPeerNamesIt(t *testing.T) {
+	eps := mesh(t, 3)
+	eps[1].Abort(-1, "killed")
+	msg := transport.Message{Src: 0, Tag: 1, Payload: make([]byte, 1<<16)}
+	var err error
+	for i := 0; i < 10000 && err == nil; i++ {
+		err = eps[0].Send(1, msg)
+	}
+	var rf *transport.RankFailure
+	if !errors.As(err, &rf) || rf.Rank != 1 {
+		t.Fatalf("send to the dead peer: %v, want a RankFailure naming rank 1", err)
+	}
+
+	eps[2].Abort(-1, "self abort")
+	if err := eps[2].Send(0, msg); err == nil || errors.As(err, &rf) {
+		t.Fatalf("send after own abort: %v, want an error blaming no peer", err)
 	}
 }
 

@@ -21,6 +21,8 @@
 // Lanes are ring buffers of fixed capacity: when full, the oldest event is
 // overwritten and a dropped counter advances, so tracing a long run costs
 // bounded memory and the tail — usually the interesting part — survives.
+// The ring is allocated as it fills, so a short run pays only for the events
+// it records.
 package obs
 
 import (
@@ -60,9 +62,9 @@ type Event struct {
 type Lane struct {
 	epoch   time.Time
 	mu      sync.Mutex
-	buf     []Event
-	head    int // index of the oldest event when full
-	n       int
+	buf     []Event // retained events; grows up to limit, then wraps
+	limit   int     // ring capacity in events
+	head    int     // index of the oldest event once the ring wraps
 	dropped int64
 }
 
@@ -96,15 +98,39 @@ func (l *Lane) Instant(tid int32, cat, name string, args ...Arg) {
 
 func (l *Lane) record(e Event) {
 	l.mu.Lock()
-	if l.n < len(l.buf) {
-		l.buf[(l.head+l.n)%len(l.buf)] = e
-		l.n++
-	} else {
+	switch {
+	case len(l.buf) < l.limit: // filling: head stays 0 until the ring wraps
+		if len(l.buf) == cap(l.buf) {
+			grown := make([]Event, len(l.buf), min(max(2*cap(l.buf), 256), l.limit))
+			copy(grown, l.buf)
+			l.buf = grown
+		}
+		l.buf = append(l.buf, e)
+	case l.limit == 0: // compacted with nothing retained
+		l.dropped++
+	default:
 		l.buf[l.head] = e
 		l.head = (l.head + 1) % len(l.buf)
 		l.dropped++
 	}
 	l.mu.Unlock()
+}
+
+// compact shrinks the ring to exactly its retained events, oldest first.
+func (l *Lane) compact() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	buf := l.ordered()
+	l.buf, l.limit, l.head = buf, len(buf), 0
+}
+
+// ordered copies the retained events oldest first; l.mu must be held.
+func (l *Lane) ordered() []Event {
+	out := make([]Event, len(l.buf))
+	for i := range out {
+		out[i] = l.buf[(l.head+i)%len(l.buf)]
+	}
+	return out
 }
 
 // Events returns a copy of the retained events, oldest first. Nil lane: nil.
@@ -114,11 +140,7 @@ func (l *Lane) Events() []Event {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Event, l.n)
-	for i := 0; i < l.n; i++ {
-		out[i] = l.buf[(l.head+i)%len(l.buf)]
-	}
-	return out
+	return l.ordered()
 }
 
 // Dropped returns how many events were overwritten by the ring. Nil lane: 0.
@@ -129,6 +151,18 @@ func (l *Lane) Dropped() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.dropped
+}
+
+// Cap returns the event capacity the lane currently holds allocated: at
+// most its ring capacity, and exactly its retained event count after
+// Compact. Nil lane: 0.
+func (l *Lane) Cap() int {
+	if l == nil {
+		return 0
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return cap(l.buf)
 }
 
 // Trace is a set of per-rank lanes sharing one epoch, so timestamps from
@@ -151,9 +185,23 @@ func NewTraceCap(ranks, capacity int) *Trace {
 	}
 	t := &Trace{epoch: time.Now(), lanes: make([]*Lane, ranks)}
 	for i := range t.lanes {
-		t.lanes[i] = &Lane{epoch: t.epoch, buf: make([]Event, capacity)}
+		t.lanes[i] = &Lane{epoch: t.epoch, limit: capacity}
 	}
 	return t
+}
+
+// Compact releases each lane's unused ring capacity, keeping exactly the
+// retained events in order and the Dropped counts, so Events, Dropped and
+// WriteJSON are unchanged. Meant for a finished trace that is kept around:
+// a lane later recorded into behaves as a full ring of the compacted size.
+// Nil trace: no-op.
+func (t *Trace) Compact() {
+	if t == nil {
+		return
+	}
+	for _, l := range t.lanes {
+		l.compact()
+	}
 }
 
 // Ranks returns the number of lanes. Nil trace: 0.

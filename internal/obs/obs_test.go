@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -129,5 +130,85 @@ func TestWriteJSONIsPerfettoShaped(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `"worker 0"`) {
 		t.Fatal("pool worker thread not named")
+	}
+}
+
+// TestTraceCompactKeepsEventsReleasesRing: compaction shrinks every lane to
+// exactly its retained events — wrapped, partly filled and empty lanes
+// alike — without changing events, order, drop counts or the JSON export,
+// and the compacted rings stay usable.
+func TestTraceCompactKeepsEventsReleasesRing(t *testing.T) {
+	tr := NewTraceCap(3, 8)
+	for i := 0; i < 13; i++ { // rank 0 wraps: head moves, 5 drops
+		tr.Rank(0).Instant(0, "c", "e", Arg{K: "i", V: int64(i)})
+	}
+	for i := 0; i < 3; i++ { // rank 1 partly filled; rank 2 stays empty
+		tr.Rank(1).Span(int32(i), "c", "s", tr.Rank(1).Start())
+	}
+	var before bytes.Buffer
+	if err := tr.WriteJSON(&before); err != nil {
+		t.Fatal(err)
+	}
+	var events [][]Event
+	var dropped []int64
+	for r := 0; r < tr.Ranks(); r++ {
+		events = append(events, tr.Rank(r).Events())
+		dropped = append(dropped, tr.Rank(r).Dropped())
+	}
+
+	tr.Compact()
+	var after bytes.Buffer
+	if err := tr.WriteJSON(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatal("compaction changed the JSON export")
+	}
+	for r := 0; r < tr.Ranks(); r++ {
+		l := tr.Rank(r)
+		if got := l.Events(); len(got) != len(events[r]) || (len(got) > 0 && !reflect.DeepEqual(got, events[r])) {
+			t.Fatalf("rank %d: events changed by compaction", r)
+		}
+		if l.Dropped() != dropped[r] {
+			t.Fatalf("rank %d: dropped %d, want %d", r, l.Dropped(), dropped[r])
+		}
+		if l.Cap() != len(events[r]) {
+			t.Fatalf("rank %d: retained capacity %d, want %d (the retained event count)", r, l.Cap(), len(events[r]))
+		}
+	}
+
+	// A compacted lane is a full ring: new events evict the oldest (or are
+	// dropped outright when nothing was retained).
+	tr.Rank(0).Instant(0, "c", "e", Arg{K: "i", V: 13})
+	if evs := tr.Rank(0).Events(); len(evs) != 8 || evs[0].Args[0].V != 6 || evs[7].Args[0].V != 13 {
+		t.Fatalf("compacted ring did not evict oldest: %+v", evs)
+	}
+	tr.Rank(2).Instant(0, "c", "e")
+	if tr.Rank(2).Dropped() != 1 || len(tr.Rank(2).Events()) != 0 {
+		t.Fatal("empty compacted lane must count a drop")
+	}
+}
+
+// TestLaneGrowsOnDemand: a lane allocates as it fills, never beyond its ring
+// capacity, and wraps exactly like a preallocated ring once full.
+func TestLaneGrowsOnDemand(t *testing.T) {
+	l := NewTrace(1).Rank(0)
+	if l.Cap() != 0 {
+		t.Fatalf("fresh lane holds %d events of capacity, want 0", l.Cap())
+	}
+	for i := 0; i < 3; i++ {
+		l.Instant(0, "c", "e")
+	}
+	if c := l.Cap(); c < 3 || c >= DefaultLaneCap {
+		t.Fatalf("3 events hold capacity %d, want well below the ring's %d", c, DefaultLaneCap)
+	}
+	small := NewTraceCap(1, 300).Rank(0) // growth must stop at the ring size
+	for i := 0; i < 1000; i++ {
+		small.Instant(0, "c", "e", Arg{K: "i", V: int64(i)})
+	}
+	evs := small.Events()
+	if small.Cap() != 300 || len(evs) != 300 || small.Dropped() != 700 || evs[0].Args[0].V != 700 {
+		t.Fatalf("cap %d, %d events, %d dropped, oldest %d; want 300, 300, 700, 700",
+			small.Cap(), len(evs), small.Dropped(), evs[0].Args[0].V)
 	}
 }

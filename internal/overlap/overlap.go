@@ -42,9 +42,16 @@ func seedLess(a, b align.Seed) bool {
 
 // addSeed inserts s keeping the two smallest distinct seeds.
 func (c Seeds) addSeed(s align.Seed) Seeds {
+	c.insert(s)
+	return c
+}
+
+// insert is addSeed in place. It keeps S[0] < S[1] strictly when N == 2,
+// which is what lets the fused semiring step reject a seed with one compare.
+func (c *Seeds) insert(s align.Seed) {
 	for i := int32(0); i < c.N; i++ {
 		if c.S[i] == s {
-			return c
+			return
 		}
 	}
 	switch {
@@ -66,25 +73,43 @@ func (c Seeds) addSeed(s align.Seed) Seeds {
 			c.S[1] = s
 		}
 	}
-	return c
 }
 
 // merge combines two seed sets (the semiring Add).
 func (c Seeds) merge(d Seeds) Seeds {
 	for i := int32(0); i < d.N; i++ {
-		c = c.addSeed(d.S[i])
+		c.insert(d.S[i])
 	}
 	return c
 }
 
+// occurSeed is the shared seed of occurrences A(i,k) and Aᵀ(k,j).
+func occurSeed(a, b kmer.Occur) align.Seed {
+	return align.Seed{PU: a.Pos, PV: b.Pos, RC: a.RC != b.RC}
+}
+
 // seedSemiring builds C = A·Aᵀ: multiplying occurrence A(i,k) with
-// Aᵀ(k,j) yields a shared-seed candidate for pair (i,j).
+// Aᵀ(k,j) yields a shared-seed candidate for pair (i,j). MulAdd builds the
+// seed straight into the accumulator slot. A full slot rejects a seed not
+// below S[1] with one compare: since S[0] < S[1], such a seed is either a
+// duplicate of S[1] or not among the two smallest, so it changes nothing.
 var seedSemiring = spmat.Semiring[kmer.Occur, kmer.Occur, Seeds]{
 	Mul: func(a, b kmer.Occur) (Seeds, bool) {
-		var s Seeds
-		return s.addSeed(align.Seed{PU: a.Pos, PV: b.Pos, RC: a.RC != b.RC}), true
+		return Seeds{N: 1, S: [2]align.Seed{occurSeed(a, b)}}, true
 	},
 	Add: func(a, b Seeds) Seeds { return a.merge(b) },
+	MulAdd: func(dst *Seeds, fresh bool, a, b kmer.Occur) bool {
+		s := occurSeed(a, b)
+		switch {
+		case fresh:
+			*dst = Seeds{N: 1, S: [2]align.Seed{s}}
+		case dst.N == 2 && !seedLess(s, dst.S[1]):
+			// fast reject: s cannot enter the set
+		default:
+			dst.insert(s)
+		}
+		return true
+	},
 }
 
 // Config parameterizes overlap detection.

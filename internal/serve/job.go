@@ -242,6 +242,9 @@ func (s *Server) run(j *Job) {
 		cache = s.cache
 	}
 	out, how, err := cache.Assemble(ctx, opt, j.reads, observer)
+	// The run is over: a done job keeps its trace until the daemon exits,
+	// so release the ring capacity the run did not fill.
+	opt.Trace.Compact()
 	if how != "" {
 		j.mu.Lock()
 		j.cache = how

@@ -254,6 +254,43 @@ func TestJobEventsStream(t *testing.T) {
 	}
 }
 
+// TestFinishedJobTraceCompacted: a done job keeps only its retained trace
+// events (no spare ring capacity), and GET /jobs/{id}/trace serves the same
+// JSON the kept trace exports.
+func TestFinishedJobTraceCompacted(t *testing.T) {
+	s, ts := startDaemon(t, Config{})
+	id := postJob(t, ts, JobSpec{Preset: "celegans", GenomeLen: 15000, Seed: 3, P: 4, Threads: 1})
+	if st := waitJob(t, ts, id); st.State != JobDone {
+		t.Fatalf("job %s: %q (%s)", id, st.State, st.Error)
+	}
+	s.mu.Lock()
+	j := s.jobs[id]
+	s.mu.Unlock()
+	_, _, tr := j.result()
+	for r := 0; r < tr.Ranks(); r++ {
+		l := tr.Rank(r)
+		if n := len(l.Events()); n == 0 || l.Cap() != n {
+			t.Fatalf("rank %d: ring capacity %d for %d retained events", r, l.Cap(), n)
+		}
+	}
+	var want bytes.Buffer
+	if err := tr.WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(ts.URL + "/jobs/" + id + "/trace")
+	if err != nil {
+		t.Fatalf("GET trace: %v", err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("reading trace: %v", err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatal("served trace differs from the kept trace's export")
+	}
+}
+
 // TestAdmissionAndCancel covers the bounded queue and both cancellation
 // paths: a full queue answers 429, a queued job cancels instantly, and a
 // running job unwinds via its context and lands in cancelled.

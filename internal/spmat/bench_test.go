@@ -3,6 +3,7 @@ package spmat
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/grid"
@@ -74,22 +75,28 @@ func BenchmarkNewCOO(b *testing.B) {
 	run("shuffled_sortfallback", n*50000, wide)
 }
 
+// BenchmarkSpGEMMDistributed times SUMMA under (+,×) and reports semiring
+// throughput in products/s (all ranks' products over the wall time).
 func BenchmarkSpGEMMDistributed(b *testing.B) {
 	n := int32(2000)
 	ts := benchTriples(n, 8)
 	for _, p := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
 			b.ReportAllocs()
+			var products atomic.Int64
 			err := mpi.Run(p, func(c *mpi.Comm) {
 				g := grid.New(c)
 				a := FromGlobalTriples(g, n, n, ts, nil)
+				var k int64
 				for i := 0; i < b.N; i++ {
-					SpGEMM(a, a, plusTimes)
+					SpGEMMCounted(a, a, plusTimes, &k)
 				}
+				products.Add(k)
 			})
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.ReportMetric(float64(products.Load())/b.Elapsed().Seconds(), "products/s")
 		})
 	}
 }

@@ -249,9 +249,10 @@ func SpGEMMAsync[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], prod
 // spgemm is the shared SUMMA body; async selects blocking broadcasts or the
 // IBcast prefetch pipeline. The local product of each round is a Gustavson
 // pass with the generation-tagged sparse accumulator of local.go over the
-// block's row span; per-round emissions are column-clustered, so the final
-// cross-round merge is the radix path of NewCOO with the semiring Add as the
-// combiner (Add is associative and commutative — the precondition SUMMA's
+// block's row span, one fused multiply-accumulate slot step per product;
+// per-round emissions are column-clustered, so the final cross-round merge
+// is the radix path of NewCOO with the semiring Add as the combiner (Add is
+// associative and commutative — the precondition SUMMA's
 // stage-order-independent accumulation already imposes).
 func spgemm[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], products *int64, async bool) *Dist[C] {
 	if a.G != b.G {
@@ -266,10 +267,8 @@ func spgemm[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], products 
 	var ts []Triple[C]
 	lane := g.Comm.Lane()
 	panelNnz := g.Comm.Metrics().Histogram("spmat.panel_nnz")
-	var prod0 int64
-	if products != nil {
-		prod0 = *products
-	}
+	step := sr.mulAdd()
+	var nprod int64 // semiring products, one per A-panel × B-panel pairing
 
 	// post starts the round-s panel broadcasts (nonblocking path only). The
 	// post order (A then B) matches the blocking call order, so tag sequences
@@ -347,13 +346,9 @@ func spgemm[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], products 
 			for _, bt := range bblk[lo:hi] {
 				kidx := int(bt.Row) - kLo
 				for q := starts[kidx]; q < starts[kidx+1]; q++ {
-					at := flat[q]
-					if products != nil {
-						*products++
-					}
-					if cv, ok := sr.Mul(at.Val, bt.Val); ok {
-						acc.accumulate(at.Row-out.RowLo, cv, sr.Add)
-					}
+					at := &flat[q]
+					nprod++
+					spaStep(acc, at.Row-out.RowLo, at.Val, bt.Val, step)
 				}
 			}
 			nBefore := len(ts)
@@ -370,7 +365,8 @@ func spgemm[A, B, C any](a *Dist[A], b *Dist[B], sr Semiring[A, B, C], products 
 		}
 	}
 	if products != nil {
-		g.Comm.Metrics().Counter("spmat.spgemm_products").Add(*products - prod0)
+		*products += nprod
+		g.Comm.Metrics().Counter("spmat.spgemm_products").Add(nprod)
 	}
 	out.Local = NewCOO(a.NR, b.NC, ts, sr.Add)
 	return out

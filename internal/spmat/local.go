@@ -244,9 +244,39 @@ func (d DCSC[T]) Nnz() int { return len(d.IR) }
 
 // Semiring overloads multiplication and addition for SpGEMM, CombBLAS-style.
 // Mul may annihilate a product by returning false (the implicit zero).
+//
+// MulAdd, when set, is the fused form the SPA kernels call once per product:
+// with fresh set it writes Mul(a, b) into *dst; otherwise it folds the
+// product into *dst in place, leaving *dst bit-for-bit equal to
+// Add(*dst, Mul(a, b)). It returns false when the product annihilates, and
+// *dst is then left untouched. Semirings without it get one derived from
+// Mul and Add (see mulAdd).
 type Semiring[A, B, C any] struct {
-	Mul func(A, B) (C, bool)
-	Add func(C, C) C
+	Mul    func(A, B) (C, bool)
+	Add    func(C, C) C
+	MulAdd func(dst *C, fresh bool, a A, b B) bool
+}
+
+// mulAdd returns the fused multiply-accumulate step: MulAdd itself, or one
+// derived from Mul and Add when the semiring has no fused form. Kernels
+// resolve it once, before their inner loop.
+func (sr Semiring[A, B, C]) mulAdd() func(dst *C, fresh bool, a A, b B) bool {
+	if sr.MulAdd != nil {
+		return sr.MulAdd
+	}
+	mul, add := sr.Mul, sr.Add
+	return func(dst *C, fresh bool, a A, b B) bool {
+		v, ok := mul(a, b)
+		if !ok {
+			return false
+		}
+		if fresh {
+			*dst = v
+		} else {
+			*dst = add(*dst, v)
+		}
+		return true
+	}
 }
 
 // spa is a generation-tagged sparse accumulator over a dense row span — the
@@ -274,14 +304,16 @@ func (s *spa[C]) reset() {
 	}
 }
 
-// accumulate folds v into row i under add, first touch stores v directly.
-func (s *spa[C]) accumulate(i int32, v C, add func(C, C) C) {
-	if s.gen[i] == s.cur {
-		s.vals[i] = add(s.vals[i], v)
-		return
+// spaStep is the SPA slot step: it applies the fused multiply-accumulate of
+// a·b to row i in place. The generation tag decides whether the slot is
+// fresh (the product is written) or live (the product is folded in); a fresh
+// slot joins this generation only when the product survives.
+func spaStep[A, B, C any](s *spa[C], i int32, a A, b B, mulAdd func(*C, bool, A, B) bool) {
+	fresh := s.gen[i] != s.cur
+	if mulAdd(&s.vals[i], fresh, a, b) && fresh {
+		s.gen[i] = s.cur
+		s.rows = append(s.rows, i)
 	}
-	s.gen[i], s.vals[i] = s.cur, v
-	s.rows = append(s.rows, i)
 }
 
 // emit appends this generation's entries for column j to ts in ascending row
@@ -299,14 +331,16 @@ func (s *spa[C]) emit(ts []Triple[C], j int32) []Triple[C] {
 
 // Multiply computes a ⊗ b over the semiring with Gustavson's column
 // algorithm and a reusable sparse accumulator (dense values plus
-// generation-tagged flags — no per-column map). a is NR×K, b is K×NC. The
-// output is emitted column by column with sorted rows, so it is canonical by
-// construction and skips the NewCOO sort entirely.
+// generation-tagged flags — no per-column map); each product is one fused
+// multiply-accumulate slot step. a is NR×K, b is K×NC. The output is emitted
+// column by column with sorted rows, so it is canonical by construction and
+// skips the NewCOO sort entirely.
 func Multiply[A, B, C any](a CSC[A], b CSC[B], sr Semiring[A, B, C]) COO[C] {
 	if a.NC != b.NR {
 		panic(fmt.Sprintf("spmat: inner dims %d != %d", a.NC, b.NR))
 	}
 	acc := newSPA[C](a.NR)
+	step := sr.mulAdd()
 	cap0 := len(a.V)
 	if len(b.V) > cap0 {
 		cap0 = len(b.V)
@@ -318,9 +352,7 @@ func Multiply[A, B, C any](a CSC[A], b CSC[B], sr Semiring[A, B, C]) COO[C] {
 			k := b.IR[p]
 			bv := b.V[p]
 			for q := a.JC[k]; q < a.JC[k+1]; q++ {
-				if cv, ok := sr.Mul(a.V[q], bv); ok {
-					acc.accumulate(a.IR[q], cv, sr.Add)
-				}
+				spaStep(acc, a.IR[q], a.V[q], bv, step)
 			}
 		}
 		ts = acc.emit(ts, j)
@@ -332,9 +364,10 @@ func Multiply[A, B, C any](a CSC[A], b CSC[B], sr Semiring[A, B, C]) COO[C] {
 }
 
 // MultiplyMap is the retained map-accumulator reference kernel Multiply
-// replaced: the randomized differential tests pin the SPA kernel to it, and
-// cmd/experiments -exp mem prints the before/after allocation table from the
-// pair. Not used on any hot path.
+// replaced. It stays on the unfused Mul/Add pair: the randomized
+// differential tests pin the fused SPA kernels to it, and cmd/experiments
+// -exp mem prints the before/after allocation table from the pair. Not used
+// on any hot path.
 func MultiplyMap[A, B, C any](a CSC[A], b CSC[B], sr Semiring[A, B, C]) COO[C] {
 	if a.NC != b.NR {
 		panic(fmt.Sprintf("spmat: inner dims %d != %d", a.NC, b.NR))

@@ -156,9 +156,10 @@ func TestMultiplyEmptyOperands(t *testing.T) {
 // wrap and checks stale tags cannot leak rows between columns.
 func TestSPAGenerationWraparound(t *testing.T) {
 	s := newSPA[int64](4)
+	step := plusTimes.mulAdd()
 	s.cur = ^uint32(0) - 1 // two resets from wrapping
 	s.reset()
-	s.accumulate(2, 7, nil)
+	spaStep(s, 2, 7, 1, step)
 	s.reset() // wraps: gen array must be hard-cleared
 	if s.cur != 1 {
 		t.Fatalf("cur = %d after wrap, want 1", s.cur)
@@ -166,7 +167,7 @@ func TestSPAGenerationWraparound(t *testing.T) {
 	if len(s.rows) != 0 {
 		t.Fatal("rows not reset")
 	}
-	s.accumulate(1, 5, func(a, b int64) int64 { return a + b })
+	spaStep(s, 1, 5, 1, step)
 	ts := s.emit(nil, 0)
 	want := []Triple[int64]{{Row: 1, Col: 0, Val: 5}}
 	if !reflect.DeepEqual(ts, want) {

@@ -28,7 +28,10 @@ func newPathMin() PathMin {
 	return PathMin{Min: [4]int32{inf, inf, inf, inf}}
 }
 
-// pathSemiring composes edges u→v and v→w into candidate u→w walks.
+// pathSemiring composes edges u→v and v→w into candidate u→w walks. MulAdd
+// mins the composed overhang into the slot's direction in place instead of
+// building a PathMin per product; it matches Add(dst, Mul(e1, e2)) for every
+// overhang below inf, which any read-length overhang is.
 var pathSemiring = spmat.Semiring[bidir.Edge, bidir.Edge, PathMin]{
 	Mul: func(e1, e2 bidir.Edge) (PathMin, bool) {
 		d, ok := bidir.ComposeDirs(e1.Dir, e2.Dir)
@@ -46,6 +49,20 @@ var pathSemiring = spmat.Semiring[bidir.Edge, bidir.Edge, PathMin]{
 			}
 		}
 		return a
+	},
+	MulAdd: func(dst *PathMin, fresh bool, e1, e2 bidir.Edge) bool {
+		d, ok := bidir.ComposeDirs(e1.Dir, e2.Dir)
+		if !ok {
+			return false
+		}
+		m := e1.Suf + e2.Suf
+		if fresh {
+			*dst = newPathMin()
+			dst.Min[d] = m
+		} else if m < dst.Min[d] {
+			dst.Min[d] = m
+		}
+		return true
 	},
 }
 
