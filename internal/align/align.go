@@ -35,10 +35,33 @@ func DefaultParams(xdrop int32) Params {
 
 const negInf = int32(-1 << 30)
 
+// bands is the antidiagonal storage of the x-drop DP: antidiagonal d lives
+// in buffer d mod 3, since a cell reads only the two antidiagonals before
+// its own. Buffers grow (at least doubling) to the widest band seen and are
+// reused after that.
+type bands [3][]int32
+
+// band returns buffer d mod 3 resized to width cells.
+func (b *bands) band(d, width int32) []int32 {
+	buf := &b[d%3]
+	if int32(cap(*buf)) < width {
+		*buf = make([]int32, max(width, 2*int32(cap(*buf))))
+	}
+	return (*buf)[:width]
+}
+
 // extend runs a gapped x-drop extension of s against t starting at (0,0) and
-// moving forward. Cell (i, j) scores the best alignment of s[0:i) with
-// t[0:j); it returns the best score and its half-open extents (si, ti).
+// moving forward, with band storage of its own; it is safe for concurrent
+// use when p.Cells is nil.
 func extend(s, t []byte, p Params) (score, si, ti int32) {
+	var b bands
+	return b.extend(s, t, p)
+}
+
+// extend runs the x-drop extension in the receiver's band buffers. Cell
+// (i, j) scores the best alignment of s[0:i) with t[0:j); it returns the
+// best score and its half-open extents (si, ti).
+func (b *bands) extend(s, t []byte, p Params) (score, si, ti int32) {
 	ns, nt := int32(len(s)), int32(len(t))
 	if ns == 0 || nt == 0 {
 		return 0, 0, 0
@@ -55,7 +78,8 @@ func extend(s, t []byte, p Params) (score, si, ti int32) {
 			*p.Cells += cells
 		}
 	}()
-	prev1 := []int32{0} // antidiagonal 0: the single cell (0,0)
+	prev1 := b.band(0, 1) // antidiagonal 0: the single cell (0,0)
+	prev1[0] = 0
 	lo1, hi1 := int32(0), int32(0)
 	prev2 := []int32(nil)
 	lo2, hi2 := int32(0), int32(-1)
@@ -89,7 +113,7 @@ func extend(s, t []byte, p Params) (score, si, ti int32) {
 		if lo > hi {
 			break
 		}
-		cur := make([]int32, hi-lo+1)
+		cur := b.band(d, hi-lo+1)
 		cells += int64(hi - lo + 1)
 		alive := false
 		liveLo, liveHi := hi+1, lo-1

@@ -171,3 +171,56 @@ func TestXDropLimitsWastedWork(t *testing.T) {
 		t.Fatalf("x-drop failed to stop: si=%d ti=%d score=%d", si, ti, score)
 	}
 }
+
+// TestXDropAlignerReusesBands checks that one aligner, its band buffers
+// reused across calls of every width, gives the same results and work as a
+// fresh extension per pair, and allocates nothing once warmed up.
+func TestXDropAlignerReusesBands(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	al := NewXDrop(DefaultParams(15))
+	for trial := 0; trial < 60; trial++ {
+		g := readsim.Genome(readsim.GenomeConfig{Length: 400 + rng.Intn(1600), Seed: rng.Int63()})
+		reads := readsim.Simulate(g, readsim.ReadConfig{
+			Depth: 1, MeanLen: 64 + rng.Intn(1000), ErrorRate: 0.15 * rng.Float64(), Seed: rng.Int63(), ForwardOnly: true,
+		})
+		for _, r := range reads {
+			s, u := g[r.Pos:], r.Seq
+			var cells int64
+			p := DefaultParams(15)
+			p.Cells = &cells
+			w0 := al.Work()
+			gs, gi, gj := al.Extend(s, u)
+			ws, wi, wj := extend(s, u, p)
+			if gs != ws || gi != wi || gj != wj || al.Work()-w0 != cells {
+				t.Fatalf("trial %d: reused (%d, %d, %d) work %d, fresh (%d, %d, %d) work %d",
+					trial, gs, gi, gj, al.Work()-w0, ws, wi, wj, cells)
+			}
+		}
+	}
+	g := readsim.Genome(readsim.GenomeConfig{Length: 3000, Seed: 9})
+	reads := readsim.Simulate(g, readsim.ReadConfig{Depth: 0.999, MeanLen: 2500, ErrorRate: 0.05, Seed: 10, ForwardOnly: true})
+	s, u := g[reads[0].Pos:], reads[0].Seq
+	al.Extend(s, u)
+	if n := testing.AllocsPerRun(10, func() { al.Extend(s, u) }); n != 0 {
+		t.Fatalf("XDropAligner.Extend allocates %v times per call after warm-up, want 0", n)
+	}
+}
+
+// TestSeedExtendConcurrent runs the free SeedExtend path from several
+// goroutines at once: without a Cells pointer it shares no state (the race
+// detector checks this under -race).
+func TestSeedExtendConcurrent(t *testing.T) {
+	g := readsim.Genome(readsim.GenomeConfig{Length: 3000, Seed: 12})
+	u, v := g[:2000], g[1000:]
+	seed := Seed{PU: 1500, PV: 500}
+	want := SeedExtend(u, v, 17, seed, DefaultParams(15))
+	done := make(chan Result)
+	for w := 0; w < 4; w++ {
+		go func() { done <- SeedExtend(u, v, 17, seed, DefaultParams(15)) }()
+	}
+	for w := 0; w < 4; w++ {
+		if got := <-done; got != want {
+			t.Fatalf("concurrent SeedExtend = %+v, want %+v", got, want)
+		}
+	}
+}

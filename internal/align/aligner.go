@@ -37,13 +37,16 @@ func BestOf(al Aligner, u, v []byte, k int32, seeds []Seed) Result {
 }
 
 // XDropAligner adapts the banded antidiagonal x-drop DP of this package to
-// the Aligner interface. Instances keep a Scratch (and a pre-bound extension
-// func, so the hot loop closes over nothing per call) and are not safe for
-// concurrent use — the overlap stage builds one per pool worker.
+// the Aligner interface. Instances keep a Scratch, the DP's three rotating
+// band buffers (so an extension allocates nothing once the widest band has
+// been seen) and a pre-bound extension func, so the hot loop closes over
+// nothing per call. They are not safe for concurrent use — the overlap stage
+// builds one per pool worker.
 type XDropAligner struct {
 	p       Params
 	cells   int64
 	scratch Scratch
+	bands   bands
 	ext     ExtendFunc
 }
 
@@ -71,5 +74,5 @@ func (a *XDropAligner) SeedExtend(u, v []byte, k int32, seed Seed) Result {
 // cross-backend agreement tests and benchmarks can compare primitives
 // directly.
 func (a *XDropAligner) Extend(s, t []byte) (score, si, ti int32) {
-	return extend(s, t, a.p)
+	return a.bands.extend(s, t, a.p)
 }

@@ -51,7 +51,7 @@ func Genome(cfg GenomeConfig) []byte {
 type ReadConfig struct {
 	Depth       float64 // target coverage depth (Table 2 "Depth")
 	MeanLen     int     // mean read length (Table 2 "Length")
-	MinLen      int     // reads shorter than this are redrawn
+	MinLen      int     // reads shorter than this are redrawn (default max(MeanLen/4, 32), at most MeanLen)
 	LenSigma    float64 // stddev of the length distribution as fraction of mean
 	ErrorRate   float64 // total error rate (Table 2 "Error"); split 6:2:2 sub:ins:del
 	Seed        int64
@@ -74,13 +74,17 @@ func Simulate(genome []byte, cfg ReadConfig) []Read {
 		panic("readsim: MeanLen must be positive")
 	}
 	if cfg.MinLen <= 0 {
-		cfg.MinLen = cfg.MeanLen / 4
-		if cfg.MinLen < 32 {
-			cfg.MinLen = 32
-		}
+		// Clamped to MeanLen so that about half the draws are kept even
+		// for reads shorter than 32 bases.
+		cfg.MinLen = min(max(cfg.MeanLen/4, 32), cfg.MeanLen)
 	}
 	if cfg.LenSigma <= 0 {
 		cfg.LenSigma = 0.25
+	}
+	if float64(cfg.MinLen) > float64(cfg.MeanLen)*(1+6*cfg.LenSigma) {
+		// Lengths are drawn from N(MeanLen, LenSigma·MeanLen): a MinLen six
+		// sigmas out would redraw practically forever.
+		panic("readsim: MinLen must be within 6 LenSigma of MeanLen")
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	targetBases := int64(float64(len(genome)) * cfg.Depth)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/dna"
 )
@@ -170,5 +171,56 @@ func TestPresetDeterministic(t *testing.T) {
 		if !bytes.Equal(a.Reads[i].Seq, b.Reads[i].Seq) {
 			t.Fatal("read differs")
 		}
+	}
+}
+
+// simulateWithin runs Simulate under a 10 s deadline and reports its reads,
+// or the value it panicked with.
+func simulateWithin(t *testing.T, g []byte, cfg ReadConfig) (reads []Read, panicked any) {
+	t.Helper()
+	type outcome struct {
+		reads    []Read
+		panicked any
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		defer func() {
+			if r := recover(); r != nil {
+				done <- outcome{panicked: r}
+			}
+		}()
+		done <- outcome{reads: Simulate(g, cfg)}
+	}()
+	select {
+	case o := <-done:
+		return o.reads, o.panicked
+	case <-time.After(10 * time.Second):
+		t.Fatalf("Simulate(%+v) did not return within 10s", cfg)
+		return nil, nil
+	}
+}
+
+// TestSimulateShortReadsTerminate covers mean lengths under the default
+// minimum of 32 bases: the defaulted MinLen must follow MeanLen down instead
+// of redrawing forever.
+func TestSimulateShortReadsTerminate(t *testing.T) {
+	g := Genome(GenomeConfig{Length: 2000, Seed: 1})
+	reads, panicked := simulateWithin(t, g, ReadConfig{Depth: 2, MeanLen: 10, Seed: 2})
+	if panicked != nil || len(reads) == 0 {
+		t.Fatalf("got %d reads, panic %v", len(reads), panicked)
+	}
+	for _, r := range reads {
+		if len(r.Seq) < 10 {
+			t.Fatalf("read of %d bases is under the defaulted MinLen 10", len(r.Seq))
+		}
+	}
+}
+
+// TestSimulateRejectsUnreachableMinLen: a MinLen no length draw can reach
+// is a configuration error, not an endless redraw.
+func TestSimulateRejectsUnreachableMinLen(t *testing.T) {
+	g := Genome(GenomeConfig{Length: 2000, Seed: 1})
+	if _, panicked := simulateWithin(t, g, ReadConfig{Depth: 1, MeanLen: 100, MinLen: 1000, Seed: 2}); panicked == nil {
+		t.Fatal("Simulate must reject MinLen 1000 for MeanLen 100")
 	}
 }

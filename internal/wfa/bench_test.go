@@ -11,6 +11,7 @@ import (
 // BenchmarkExtendBackends is the extension-primitive head-to-head across the
 // error-rate regimes of the readsim presets (0.5% C. elegans/O. sativa, 15%
 // H. sapiens): the WFA claim is O(n·s) beating O(n·band) at low divergence.
+// Each backend reports its work per call and its throughput in cells/s.
 func BenchmarkExtendBackends(b *testing.B) {
 	for _, er := range []float64{0.005, 0.05, 0.15} {
 		g := readsim.Genome(readsim.GenomeConfig{Length: 9000, Seed: 2})
@@ -32,7 +33,7 @@ func BenchmarkExtendBackends(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				xd.Extend(s, t)
 			}
-			b.ReportMetric(float64(xd.Work())/float64(b.N), "cells/op")
+			reportCells(b, xd.Work())
 		})
 		b.Run(fmt.Sprintf("err=%g/wfa", er), func(b *testing.B) {
 			wf := New(DefaultParams(drop))
@@ -40,9 +41,15 @@ func BenchmarkExtendBackends(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				wf.Extend(s, t)
 			}
-			b.ReportMetric(float64(wf.Work())/float64(b.N), "cells/op")
+			reportCells(b, wf.Work())
 		})
 	}
+}
+
+// reportCells reports a backend's work counter per iteration and per second.
+func reportCells(b *testing.B, cells int64) {
+	b.ReportMetric(float64(cells)/float64(b.N), "cells/op")
+	b.ReportMetric(float64(cells)/b.Elapsed().Seconds(), "cells/s")
 }
 
 // BenchmarkSeedExtendRC mirrors the align package benchmark for the

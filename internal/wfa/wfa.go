@@ -16,9 +16,16 @@
 // diagonal whose dual score lags the running best by more than 2·Drop is
 // removed from the wavefront, which bounds both the wavefront width and the
 // number of waves.
+//
+// The kernel is allocation-free in steady state: each wavefront component
+// keeps only the last lookback+1 waves, in a ring of reusable slots (see
+// Aligner), and match runs advance eight bytes per compare (matchLen).
 package wfa
 
 import (
+	"encoding/binary"
+	"math/bits"
+
 	"repro/internal/align"
 )
 
@@ -62,13 +69,16 @@ const none = int32(-1 << 30)
 
 // wave holds the furthest-reaching offsets of one penalty level: off[k-lo]
 // is h, the number of t bases consumed on diagonal k = h − v (none = no
-// live cell). Empty waves have a nil off.
+// live cell). Empty waves have an empty off.
 type wave struct {
 	lo  int32
 	off []int32
 }
 
 func (w wave) empty() bool { return len(w.off) == 0 }
+
+// hi is the last diagonal of a non-empty wave.
+func (w wave) hi() int32 { return w.lo + int32(len(w.off)) - 1 }
 
 // get returns the offset of diagonal k, or none.
 func (w wave) get(k int32) int32 {
@@ -78,15 +88,37 @@ func (w wave) get(k int32) int32 {
 	return none
 }
 
-// Aligner is the wavefront backend; it satisfies align.Aligner. Instances
-// keep their wavefront storage across calls and are not safe for concurrent
-// use — the overlap stage builds one per simulated rank.
+// slot is one ring position of a wavefront component: the wave stored there
+// and the backing array its offsets live in, kept across waves and calls.
+type slot struct {
+	wave
+	buf []int32
+}
+
+// reset makes the slot hold a wave of width diagonals starting at lo and
+// returns its offsets for the caller to fill. The backing array grows only
+// when a wider wave than any before arrives, and then at least doubles.
+func (sl *slot) reset(lo, width int32) []int32 {
+	if int32(cap(sl.buf)) < width {
+		sl.buf = make([]int32, max(width, 2*int32(cap(sl.buf))))
+	}
+	sl.lo, sl.off = lo, sl.buf[:width]
+	return sl.off
+}
+
+// Aligner is the wavefront backend; it satisfies align.Aligner. Each
+// wavefront component — match/mismatch (m), insertion-in-t (i) and
+// deletion-from-t (d) — is a ring of lookback+1 slots, where lookback =
+// max(Mismatch, GapOpen+GapExt) is the furthest back any recurrence reads:
+// wave q lives in slot q mod (lookback+1), overwriting wave q−lookback−1,
+// which nothing reads any more. Slots keep their backing arrays, so after
+// the widest wave has been seen an extension allocates nothing. Instances
+// are therefore not safe for concurrent use — the overlap stage builds one
+// per simulated rank.
 type Aligner struct {
-	p     Params
-	cells int64
-	// Wavefront components indexed by penalty: match/mismatch (m),
-	// insertion-in-t (i) and deletion-from-t (d), reused across calls.
-	m, i, d []wave
+	p       Params
+	cells   int64
+	m, i, d []slot
 	// scratch backs the wrapper's reverse-complement/reversed-prefix copies;
 	// ext is the pre-bound extension func so SeedExtend closes over nothing.
 	scratch align.Scratch
@@ -102,6 +134,8 @@ func New(p Params) *Aligner {
 	a := &Aligner{p: p}
 	a.p.Cells = &a.cells
 	a.ext = a.Extend
+	r := max(p.Mismatch, p.GapOpen+p.GapExt) + 1
+	a.m, a.i, a.d = make([]slot, r), make([]slot, r), make([]slot, r)
 	return a
 }
 
@@ -118,6 +152,98 @@ func (a *Aligner) SeedExtend(u, v []byte, k int32, seed align.Seed) align.Result
 	return align.SeedExtendWithScratch(&a.scratch, u, v, k, seed, a.p.Match, a.ext)
 }
 
+// extension is the state of one Extend call: the two sequences, the best
+// cell so far and the work done. Its methods are the per-wave steps.
+type extension struct {
+	s, t         []byte
+	match, drop2 int32
+	// best2 is the doubled classic score of the best cell seen, at v bases
+	// of s and h of t.
+	best2, bv, bh int32
+	cells         int64
+}
+
+// better reports whether the cell (v, h) with doubled score s2 beats the
+// best so far; ties break like the x-drop: furthest v+h, then furthest v.
+func (e *extension) better(s2, v, h int32) bool {
+	if s2 != e.best2 {
+		return s2 > e.best2
+	}
+	if v+h != e.bv+e.bh {
+		return v+h > e.bv+e.bh
+	}
+	return v > e.bv
+}
+
+// scan match-extends the diagonals of an M wave (isM) and updates the best
+// cell, then applies the adaptive prune and trims w to its live diagonals.
+// It reports whether any diagonal is still live.
+func (e *extension) scan(w *wave, q int32, isM bool) bool {
+	liveLo, liveHi := 0, -1
+	for idx, h := range w.off {
+		if h <= none/2 {
+			continue
+		}
+		k := w.lo + int32(idx)
+		if isM {
+			// Furthest-reaching match run; every cell it crosses counts.
+			n := matchLen(e.s[h-k:], e.t[h:])
+			h += int32(n)
+			e.cells += int64(n)
+			w.off[idx] = h
+			if s2 := e.match*(2*h-k) - q; e.better(s2, h-k, h) {
+				e.best2, e.bv, e.bh = s2, h-k, h
+			}
+		}
+		// Adaptive prune: the x-drop rule in dual space.
+		if e.match*(2*h-k)-q < e.best2-e.drop2 {
+			w.off[idx] = none
+			continue
+		}
+		if liveHi < 0 {
+			liveLo = idx
+		}
+		liveHi = idx
+	}
+	if liveHi < 0 {
+		w.off = w.off[:0]
+		return false
+	}
+	w.lo, w.off = w.lo+int32(liveLo), w.off[liveLo:liveHi+1]
+	return true
+}
+
+// matchLen returns the length of the common prefix of a and b. It compares
+// eight bytes per step: in the XOR of two little-endian words the lowest set
+// bit falls in the first differing byte.
+func matchLen(a, b []byte) int {
+	n := min(len(a), len(b))
+	a, b = a[:n], b[:n]
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		if x := binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:]); x != 0 {
+			return i + bits.TrailingZeros64(x)>>3
+		}
+	}
+	for i < n && a[i] == b[i] {
+		i++
+	}
+	return i
+}
+
+// back returns the wave d penalties behind wave q, whose slot is cur, or an
+// empty wave when that would be before penalty 0. d must not exceed the
+// lookback.
+func back(c []slot, q, cur, d int32) wave {
+	if q < d {
+		return wave{}
+	}
+	if cur -= d; cur < 0 {
+		cur += int32(len(c))
+	}
+	return c[cur].wave
+}
+
 // Extend is the extension primitive (align.ExtendFunc): the best local
 // extension of s versus t from (0,0) forward, returning the classic score
 // and half-open extents. Semantics match the x-drop extend; only the search
@@ -128,131 +254,57 @@ func (a *Aligner) Extend(s, t []byte) (score, si, ti int32) {
 		return 0, 0, 0
 	}
 	p := a.p
-	x, oe, e := p.Mismatch, p.GapOpen+p.GapExt, p.GapExt
-	lookback := x
-	if oe > lookback {
-		lookback = oe
-	}
-	drop2 := 2 * p.Drop
+	x, oe, ge := p.Mismatch, p.GapOpen+p.GapExt, p.GapExt
+	r := int32(len(a.m))
+	lookback := r - 1
+	e := extension{s: s, t: t, match: p.Match, drop2: 2 * p.Drop}
 
-	a.m, a.i, a.d = a.m[:0], a.i[:0], a.d[:0]
-	var cells int64
-	defer func() {
-		if p.Cells != nil {
-			*p.Cells += cells
-		}
-	}()
-
-	// best2 is the doubled classic score of the best cell seen; ties break
-	// like the x-drop: furthest v+h, then furthest v.
-	best2, bv, bh := int32(0), int32(0), int32(0)
-	better := func(s2, v, h int32) bool {
-		if s2 != best2 {
-			return s2 > best2
-		}
-		if v+h != bv+bh {
-			return v+h > bv+bh
-		}
-		return v > bv
-	}
-	// scan match-extends one wave along its diagonals, updates the best
-	// cell, applies the adaptive prune, and reports whether the wave is
-	// still live.
-	scan := func(w *wave, q int32, isM bool) bool {
-		live := false
-		liveLo, liveHi := int32(len(w.off)), int32(-1)
-		for idx := range w.off {
-			h := w.off[idx]
-			if h <= none/2 {
-				continue
-			}
-			k := w.lo + int32(idx)
-			if isM {
-				// Furthest-reaching match run.
-				for h < nt && h-k < ns && s[h-k] == t[h] {
-					h++
-					cells++
-				}
-				w.off[idx] = h
-				if s2 := p.Match*(2*h-k) - q; better(s2, h-k, h) {
-					best2, bv, bh = s2, h-k, h
-				}
-			}
-			// Adaptive prune: the x-drop rule in dual space.
-			if p.Match*(2*h-k)-q < best2-drop2 {
-				w.off[idx] = none
-				continue
-			}
-			live = true
-			if int32(idx) < liveLo {
-				liveLo = int32(idx)
-			}
-			if int32(idx) > liveHi {
-				liveHi = int32(idx)
-			}
-		}
-		if !live {
-			*w = wave{}
-			return false
-		}
-		w.lo, w.off = w.lo+liveLo, w.off[liveLo:liveHi+1]
-		return true
-	}
-	at := func(c []wave, q int32) wave {
-		if q < 0 || q >= int32(len(c)) {
-			return wave{}
-		}
-		return c[q]
-	}
-
-	// Penalty 0: the single cell (0,0) in M; I and D start empty.
-	a.m = append(a.m, wave{lo: 0, off: []int32{0}})
-	a.i = append(a.i, wave{})
-	a.d = append(a.d, wave{})
-	cells++
-	scan(&a.m[0], 0, true)
-	lastLive := int32(0)
+	// Penalty 0: the single cell (0,0) in M; I and D start empty. Every
+	// later wave is written before it is read, so no other slot needs
+	// clearing from the previous call.
+	a.m[0].reset(0, 1)[0] = 0
+	a.i[0].wave, a.d[0].wave = wave{}, wave{}
+	e.cells++
+	e.scan(&a.m[0].wave, 0, true)
+	lastLive, cur := int32(0), int32(0)
 
 	// Safety cap: beyond it every cell's dual score is under best2 − drop2
 	// (best2 ≥ 0), so the prune has necessarily emptied all wavefronts.
-	qcap := p.Match*(ns+nt) + drop2 + lookback + 1
+	qcap := p.Match*(ns+nt) + e.drop2 + lookback + 1
 	for q := int32(1); q-lastLive <= lookback && q < qcap; q++ {
-		mx, mo := at(a.m, q-x), at(a.m, q-oe)
-		ie, de := at(a.i, q-e), at(a.d, q-e)
-		lo, hi := int32(1)<<30, int32(-1)<<30
-		span := func(slo, shi, dk int32) {
-			if slo+dk < lo {
-				lo = slo + dk
-			}
-			if shi+dk > hi {
-				hi = shi + dk
-			}
+		// Wave q goes to slot cur = q mod r.
+		if cur++; cur == r {
+			cur = 0
 		}
+		mx, mo := back(a.m, q, cur, x), back(a.m, q, cur, oe)
+		ie, de := back(a.i, q, cur, ge), back(a.d, q, cur, ge)
+		wm, wi, wd := &a.m[cur], &a.i[cur], &a.d[cur]
+		// Diagonal span of wave q: mismatches stay on their diagonal, gap
+		// opens from M and extensions from I (D) move it by +1 (−1).
+		lo, hi := int32(1)<<30, int32(-1)<<30
 		if !mx.empty() {
-			span(mx.lo, mx.lo+int32(len(mx.off))-1, 0)
+			lo, hi = min(lo, mx.lo), max(hi, mx.hi())
 		}
 		if !mo.empty() {
-			span(mo.lo, mo.lo+int32(len(mo.off))-1, -1)
-			span(mo.lo, mo.lo+int32(len(mo.off))-1, 1)
+			lo, hi = min(lo, mo.lo-1), max(hi, mo.hi()+1)
 		}
 		if !ie.empty() {
-			span(ie.lo, ie.lo+int32(len(ie.off))-1, 1)
+			lo, hi = min(lo, ie.lo+1), max(hi, ie.hi()+1)
 		}
 		if !de.empty() {
-			span(de.lo, de.lo+int32(len(de.off))-1, -1)
+			lo, hi = min(lo, de.lo-1), max(hi, de.hi()-1)
 		}
 		if lo > hi {
-			a.m, a.i, a.d = append(a.m, wave{}), append(a.i, wave{}), append(a.d, wave{})
+			wm.wave, wi.wave, wd.wave = wave{}, wave{}, wave{}
 			continue
 		}
 		width := hi - lo + 1
-		iOff := make([]int32, width)
-		dOff := make([]int32, width)
-		mOff := make([]int32, width)
-		cells += 3 * int64(width)
-		for k := lo; k <= hi; k++ {
+		mOff, iOff, dOff := wm.reset(lo, width), wi.reset(lo, width), wd.reset(lo, width)
+		e.cells += 3 * int64(width)
+		for idx := range mOff {
+			k := lo + int32(idx)
 			// I: gap in s (consume t): offset +1 from diagonal k−1.
-			ins := maxOff(mo.get(k-1), ie.get(k-1))
+			ins := max(mo.get(k-1), ie.get(k-1))
 			if ins > none/2 {
 				ins++
 			}
@@ -260,7 +312,7 @@ func (a *Aligner) Extend(s, t []byte) (score, si, ti int32) {
 				ins = none
 			}
 			// D: gap in t (consume s): offset unchanged from diagonal k+1.
-			del := maxOff(mo.get(k+1), de.get(k+1))
+			del := max(mo.get(k+1), de.get(k+1))
 			if del > nt || del-k > ns || del < 0 {
 				del = none
 			}
@@ -273,30 +325,22 @@ func (a *Aligner) Extend(s, t []byte) (score, si, ti int32) {
 			if mis > nt || mis-k > ns || mis-k < 1 {
 				mis = none
 			}
-			iOff[k-lo], dOff[k-lo] = ins, del
-			mOff[k-lo] = maxOff(mis, maxOff(ins, del))
+			iOff[idx], dOff[idx] = ins, del
+			mOff[idx] = max(mis, ins, del)
 		}
-		wi := wave{lo: lo, off: iOff}
-		wd := wave{lo: lo, off: dOff}
-		wm := wave{lo: lo, off: mOff}
-		liveQ := scan(&wm, q, true)
-		if scan(&wi, q, false) {
+		liveQ := e.scan(&wm.wave, q, true)
+		if e.scan(&wi.wave, q, false) {
 			liveQ = true
 		}
-		if scan(&wd, q, false) {
+		if e.scan(&wd.wave, q, false) {
 			liveQ = true
 		}
-		a.m, a.i, a.d = append(a.m, wm), append(a.i, wi), append(a.d, wd)
 		if liveQ {
 			lastLive = q
 		}
 	}
-	return best2 / 2, bv, bh
-}
-
-func maxOff(a, b int32) int32 {
-	if a > b {
-		return a
+	if p.Cells != nil {
+		*p.Cells += e.cells
 	}
-	return b
+	return e.best2 / 2, e.bv, e.bh
 }
